@@ -396,6 +396,17 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 		speed(sc.prefix+"_rounds_per_sec", base, opt)
 	}
 
+	// AA candidate selection at d=4 on the anticorrelated n=10000 skyline
+	// the aa-anti-d4 serving workload uses: one op is one round of §IV-C
+	// selection (streaming top-K, pair pool, nearest-first LP probes) over a
+	// range narrowed by three answers. Reseeding the rng each op redraws the
+	// same random pairs, so the workload (and its allocation count) is fixed.
+	selRow, err := benchSelectActions()
+	if err != nil {
+		return err
+	}
+	add(selRow)
+
 	// Disabled-path tracing overhead: a span start attempt on a context with
 	// no active trace, the extra cost every hot-path call pays when tracing
 	// is off. This must stay at zero allocations and single-digit
@@ -442,6 +453,44 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	return nil
 }
 
+// benchSelectActions measures one warmed aa selection round; see the call
+// site in runHotpaths.
+func benchSelectActions() (benchRow, error) {
+	ctx := context.Background()
+	ds := dataset.Anticorrelated(rand.New(rand.NewSource(31)), 10000, 4).Skyline()
+	rng := rand.New(rand.NewSource(32))
+	a := aa.New(ds, 0.1, aa.Config{}, rng)
+	geo := geom.NewIncremental(geom.NewPolytope(4))
+	user := core.SimulatedUser{Utility: []float64{0.4, 0.3, 0.2, 0.1}}
+	var center []float64
+	var qs [][2]int
+	for round := 0; ; round++ {
+		ball, err := geo.InnerBallCtx(ctx)
+		if err != nil {
+			return benchRow{}, fmt.Errorf("hotpaths: aa_select_actions_d4: %w", err)
+		}
+		center = ball.Center
+		if round == 3 {
+			break
+		}
+		if qs = a.AppendQuestions(ctx, qs[:0], geo, center); len(qs) == 0 {
+			return benchRow{}, fmt.Errorf("hotpaths: aa_select_actions_d4: no questions in round %d", round)
+		}
+		pi, pj := ds.Points[qs[0][0]], ds.Points[qs[0][1]]
+		if !user.Prefer(pi, pj) {
+			pi, pj = pj, pi
+		}
+		geo.AddCtx(ctx, geom.NewHalfspace(pi, pj))
+	}
+	return row("aa_select_actions_d4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rng.Seed(33)
+			qs = a.AppendQuestions(ctx, qs[:0], geo, center)
+		}
+	}), nil
+}
+
 // fixedWorkloadRows are the benchmarks whose per-op workload is identical in
 // -quick and full runs, so their allocation counts are directly comparable
 // against a committed baseline. Sampling and scoring rows scale with -quick
@@ -453,6 +502,7 @@ var fixedWorkloadRows = map[string]bool{
 	"trace_disabled_span":        true,
 	"round_geometry_scratch":     true,
 	"round_geometry_incremental": true,
+	"aa_select_actions_d4":       true,
 }
 
 // compareReports gates the fresh report against a committed baseline: any

@@ -9,11 +9,12 @@
 package aa
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"isrl/internal/core"
 	"isrl/internal/dataset"
@@ -75,13 +76,15 @@ func (c Config) Defaults() Config {
 }
 
 // AA is the approximate RL interactive algorithm, bound to the dataset and
-// threshold it was trained for.
+// threshold it was trained for. An AA runs one session at a time: its rng
+// and candidate-selection scratch belong to that session.
 type AA struct {
 	cfg   Config
 	ds    *dataset.Dataset
 	eps   float64
 	agent *rl.Agent
 	rng   *rand.Rand
+	sel   selectScratch // candidate-selection buffers, reused every round
 }
 
 // New creates an untrained AA for ds and threshold eps. It panics on an
@@ -221,120 +224,147 @@ func (a *AA) computeRound(ctx context.Context, poly *geom.Polytope, geo *geom.In
 	return r, nil
 }
 
+// cand is one candidate question ⟨p_i, p_j⟩ (i < j) with the distance of
+// its hyperplane from the inner-sphere center.
+type cand struct {
+	i, j int
+	dist float64
+}
+
+// selectScratch holds selectActions' working buffers. They are sized once
+// and reused every round, so a round allocates only the actions it returns.
+// One *AA serves one session at a time (the serving factory builds one per
+// session), so the scratch needs no locking.
+type selectScratch struct {
+	top     []int     // top-K point indices by center utility, best first
+	scores  []float64 // scores[x] = center·p_top[x]
+	cands   []cand    // candidate pool, K(K−1)/2 + RandPairs capacity
+	rnd     [][2]int  // random pairs drawn this round, i < j
+	cuts    []int8    // probe memo per candidate: 0 unprobed, 1 cuts, 2 no
+	normal  []float64 // p_i − p_j of the pair being measured or probed
+	normals []float64 // unit normals of accepted actions, d per slot
+}
+
+// scratch returns the session's selection buffers, allocating them on first
+// use.
+func (a *AA) scratch() *selectScratch {
+	s := &a.sel
+	if s.normal == nil {
+		d, k := a.ds.Dim(), min(a.cfg.TopK, a.ds.Len())
+		pool := k*(k-1)/2 + a.cfg.RandPairs
+		s.top = make([]int, 0, k)
+		s.scores = make([]float64, 0, k)
+		s.cands = make([]cand, 0, pool)
+		s.rnd = make([][2]int, 0, a.cfg.RandPairs)
+		s.cuts = make([]int8, 0, pool)
+		s.normal = make([]float64, d)
+		s.normals = make([]float64, d*a.cfg.Mh)
+	}
+	return s
+}
+
+// topK fills s.top with the k points of highest utility at center in one
+// pass, best first. Equal scores rank the lower index first, which is the
+// order a stable sort of all indices by descending score produces.
+func (s *selectScratch) topK(points [][]float64, center []float64, k int) {
+	top, scores := s.top[:0], s.scores[:0]
+	for i, p := range points {
+		v := vec.Dot(center, p)
+		if len(top) == k && !(v > scores[k-1]) {
+			continue
+		}
+		if len(top) < k {
+			top, scores = append(top, 0), append(scores, 0)
+		}
+		// Entries scoring at least v stay ahead: they are better, or tie
+		// with a lower index.
+		at := len(top) - 1
+		for at > 0 && scores[at-1] < v {
+			top[at], scores[at] = top[at-1], scores[at-1]
+			at--
+		}
+		top[at], scores[at] = i, v
+	}
+	s.top, s.scores = top, scores
+}
+
+// addCand appends pair (i, j) to the pool unless its points coincide, with
+// the distance of its hyperplane from center.
+func (a *AA) addCand(s *selectScratch, i, j int, center []float64) {
+	if i > j {
+		i, j = j, i
+	}
+	h := geom.Halfspace{Normal: vec.Sub(s.normal, a.ds.Points[i], a.ds.Points[j])}
+	if vec.Norm(h.Normal) < 1e-12 {
+		return
+	}
+	s.cands = append(s.cands, cand{i: i, j: j, dist: h.Dist(center)})
+}
+
+// collectCandidates builds the round's pool: every pair of the top-K points,
+// then RandPairs uniformly drawn pairs. A drawn pair is dropped when both
+// its ends are in the top-K (that pair is already pooled) or it repeats an
+// earlier draw, so the pool holds each pair once, in first-seen order.
+func (a *AA) collectCandidates(s *selectScratch, center []float64) {
+	s.cands, s.rnd = s.cands[:0], s.rnd[:0]
+	for x, i := range s.top {
+		for _, j := range s.top[x+1:] {
+			a.addCand(s, i, j, center)
+		}
+	}
+	n := a.ds.Len()
+	for t := 0; t < a.cfg.RandPairs; t++ {
+		i, j := a.rng.Intn(n), a.rng.Intn(n)
+		if i == j {
+			continue
+		}
+		if i > j {
+			i, j = j, i
+		}
+		if slices.Contains(s.top, i) && slices.Contains(s.top, j) || slices.Contains(s.rnd, [2]int{i, j}) {
+			continue
+		}
+		s.rnd = append(s.rnd, [2]int{i, j})
+		a.addCand(s, i, j, center)
+	}
+}
+
 // selectActions implements §IV-C's restricted action space: among a
 // candidate pool (all pairs of the top-K points by center utility plus
 // random pairs), keep the m_h pairs whose hyperplane is nearest the
 // inner-sphere center and properly splits R (both sides non-empty, checked
 // by LP — Lemma 8).
+//
+// Ties are broken deterministically: points with equal center utility rank
+// the lower index first when taking the top K, and candidates at equal
+// distance are ordered by (i, j). All working buffers live in the AA's
+// per-session selectScratch, so a round allocates nothing proportional to
+// the dataset or the pool; only the returned actions are fresh.
 func (a *AA) selectActions(ctx context.Context, poly *geom.Polytope, geo *geom.Incremental, center []float64) []action {
 	ctx, sp := trace.Start(ctx, "aa.select_actions")
-	type cand struct {
-		i, j int
-		dist float64
-	}
-	n := a.ds.Len()
-	// Top-K points by utility at the center.
-	k := a.cfg.TopK
-	if k > n {
-		k = n
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	scores := a.ds.Scores(center, nil)
-	sort.Slice(idx, func(x, y int) bool { return scores[idx[x]] > scores[idx[y]] })
-	top := idx[:k]
-
-	var cands []cand
-	seen := map[[2]int]bool{}
-	add := func(i, j int) {
-		if i == j {
-			return
-		}
-		if i > j {
-			i, j = j, i
-		}
-		key := [2]int{i, j}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		pi, pj := a.ds.Points[i], a.ds.Points[j]
-		h := geom.NewHalfspace(pi, pj)
-		if vec.Norm(h.Normal) < 1e-12 {
-			return
-		}
-		cands = append(cands, cand{i: i, j: j, dist: h.Dist(center)})
-	}
-	for x := 0; x < len(top); x++ {
-		for y := x + 1; y < len(top); y++ {
-			add(top[x], top[y])
-		}
-	}
-	for t := 0; t < a.cfg.RandPairs; t++ {
-		add(a.rng.Intn(n), a.rng.Intn(n))
-	}
+	s := a.scratch()
+	s.topK(a.ds.Points, center, min(a.cfg.TopK, a.ds.Len()))
+	a.collectCandidates(s, center)
+	cands := s.cands
 	if a.cfg.RandomActions {
 		a.rng.Shuffle(len(cands), func(x, y int) { cands[x], cands[y] = cands[y], cands[x] })
 	} else {
-		sort.Slice(cands, func(x, y int) bool { return cands[x].dist < cands[y].dist })
+		slices.SortFunc(cands, func(x, y cand) int {
+			return cmp.Or(cmp.Compare(x.dist, y.dist), cmp.Compare(x.i, y.i), cmp.Compare(x.j, y.j))
+		})
 	}
-
-	// LP feasibility probes dominate this loop. CutsBothSides is a pure
-	// function of the (fixed-for-this-round) polytope and the candidate
-	// pair, so results for a speculative window of upcoming candidates are
-	// computed by the worker pool and consumed by the serial accept loop —
-	// budget accounting, the diversity filter, and accept order are
-	// untouched, so the selected actions are identical for any worker count.
-	//
-	// With the incremental engine the probes run serially instead: the warm
-	// LP solver is single-threaded state, and its cross-round negative cache
-	// (a no-cut verdict stays no-cut as R shrinks) eliminates most probes
-	// outright, which is worth more than the speculative window.
-	cuts := make([]int8, len(cands)) // 0 = unprobed, 1 = cuts both sides, 2 = no
-	probe := func(ci int) bool {
-		if cuts[ci] == 0 {
-			if geo != nil {
-				c := cands[ci]
-				h := geom.NewHalfspace(a.ds.Points[c.i], a.ds.Points[c.j])
-				if geo.CutsBothSides(uint64(c.i)<<32|uint64(c.j), h, 1e-9) {
-					cuts[ci] = 1
-				} else {
-					cuts[ci] = 2
-				}
-				return cuts[ci] == 1
-			}
-			window := 1
-			if w := par.Workers(); w > 1 {
-				window = 2 * w
-			}
-			hi := ci + window
-			if hi > len(cands) {
-				hi = len(cands)
-			}
-			par.DoCtx(ctx, hi-ci, func(k int) {
-				if cuts[ci+k] != 0 {
-					return
-				}
-				c := cands[ci+k]
-				h := geom.NewHalfspace(a.ds.Points[c.i], a.ds.Points[c.j])
-				if poly.CutsBothSides(h, 1e-9) {
-					cuts[ci+k] = 1
-				} else {
-					cuts[ci+k] = 2
-				}
-			})
-		}
-		return cuts[ci] == 1
-	}
+	s.cuts = s.cuts[:len(cands)]
+	clear(s.cuts)
 
 	// Greedy fill with an angular-diversity filter: a pool of nearly
 	// parallel hyperplanes would keep slicing the same direction and leave
 	// the outer rectangle wide elsewhere, so candidates too parallel to an
-	// already accepted cut are deferred to a second pass.
-	var out []action
-	var normals [][]float64
+	// already accepted cut are deferred to a second pass. The unit normal of
+	// the candidate under test is built in the next free normals slot, so
+	// accepting it needs no copy.
+	d := a.ds.Dim()
+	out := make([]action, 0, a.cfg.Mh)
+	feats := make([]float64, 0, 2*d*a.cfg.Mh) // backing store of every returned Feat
 	checks := 0
 	accept := func(ci int, requireDiverse bool) bool {
 		if len(out) >= a.cfg.Mh || checks >= a.cfg.MaxLPChecks {
@@ -342,26 +372,23 @@ func (a *AA) selectActions(ctx context.Context, poly *geom.Polytope, geo *geom.I
 		}
 		c := cands[ci]
 		pi, pj := a.ds.Points[c.i], a.ds.Points[c.j]
-		h := geom.NewHalfspace(pi, pj)
-		n := vec.Clone(h.Normal)
+		n := vec.Sub(s.normals[len(out)*d:(len(out)+1)*d], pi, pj)
 		vec.Normalize(n)
 		if requireDiverse {
-			for _, prev := range normals {
-				cos := vec.Dot(n, prev)
+			for x := range out {
+				cos := vec.Dot(n, s.normals[x*d:(x+1)*d])
 				if cos > 0.9 || cos < -0.9 {
 					return true // skip, but keep scanning
 				}
 			}
 		}
 		checks++
-		if !probe(ci) {
+		if !a.probe(ctx, s, poly, geo, ci) {
 			return true
 		}
-		feat := make([]float64, 0, 2*len(pi))
-		feat = append(feat, pi...)
-		feat = append(feat, pj...)
-		out = append(out, action{I: c.i, J: c.j, Feat: feat})
-		normals = append(normals, n)
+		at := len(feats)
+		feats = append(append(feats, pi...), pj...)
+		out = append(out, action{I: c.i, J: c.j, Feat: feats[at:len(feats):len(feats)]})
 		return true
 	}
 	for ci := range cands {
@@ -370,12 +397,8 @@ func (a *AA) selectActions(ctx context.Context, poly *geom.Polytope, geo *geom.I
 		}
 	}
 	if len(out) < a.cfg.Mh { // second pass without the diversity filter
-		seenPair := map[[2]int]bool{}
-		for _, ac := range out {
-			seenPair[[2]int{ac.I, ac.J}] = true
-		}
 		for ci, c := range cands {
-			if seenPair[[2]int{c.i, c.j}] {
+			if slices.ContainsFunc(out, func(ac action) bool { return ac.I == c.i && ac.J == c.j }) {
 				continue
 			}
 			if !accept(ci, false) {
@@ -390,6 +413,67 @@ func (a *AA) selectActions(ctx context.Context, poly *geom.Polytope, geo *geom.I
 		sp.End()
 	}
 	return out
+}
+
+// probe reports whether candidate ci's hyperplane cuts R on both sides,
+// memoized in s.cuts. LP feasibility probes dominate selection.
+//
+// With the incremental engine the probes run serially through the warm
+// solver, whose cross-round negative cache (a no-cut verdict stays no-cut as
+// R shrinks) eliminates most of them outright; the pair's normal is built in
+// the scratch buffer, which CutsBothSides copies.
+//
+// On the scratch path CutsBothSides is a pure function of the
+// (fixed-for-this-round) polytope and the candidate pair, so results for a
+// speculative window of upcoming candidates are computed by the worker pool
+// and consumed by the serial accept loop — budget accounting, the diversity
+// filter, and accept order are untouched, so the selected actions are
+// identical for any worker count.
+func (a *AA) probe(ctx context.Context, s *selectScratch, poly *geom.Polytope, geo *geom.Incremental, ci int) bool {
+	if s.cuts[ci] != 0 {
+		return s.cuts[ci] == 1
+	}
+	if geo != nil {
+		c := s.cands[ci]
+		h := geom.Halfspace{Normal: vec.Sub(s.normal, a.ds.Points[c.i], a.ds.Points[c.j])}
+		if geo.CutsBothSides(uint64(c.i)<<32|uint64(c.j), h, 1e-9) {
+			s.cuts[ci] = 1
+		} else {
+			s.cuts[ci] = 2
+		}
+		return s.cuts[ci] == 1
+	}
+	window := 1
+	if w := par.Workers(); w > 1 {
+		window = 2 * w
+	}
+	hi := min(ci+window, len(s.cands))
+	par.DoCtx(ctx, hi-ci, func(k int) {
+		if s.cuts[ci+k] != 0 {
+			return
+		}
+		c := s.cands[ci+k]
+		h := geom.NewHalfspace(a.ds.Points[c.i], a.ds.Points[c.j])
+		if poly.CutsBothSides(h, 1e-9) {
+			s.cuts[ci+k] = 1
+		} else {
+			s.cuts[ci+k] = 2
+		}
+	})
+	return s.cuts[ci] == 1
+}
+
+// AppendQuestions runs one round of candidate selection against the utility
+// range geo tracks, with center as the inner-sphere center, and appends the
+// selected pairs to dst in action order. It draws from and advances the
+// AA's rng and uses its per-session scratch, exactly as a served round does,
+// so it is for inspection and benchmarks between rounds, not for concurrent
+// use.
+func (a *AA) AppendQuestions(ctx context.Context, dst [][2]int, geo *geom.Incremental, center []float64) [][2]int {
+	for _, ac := range a.selectActions(ctx, geo.P, geo, center) {
+		dst = append(dst, [2]int{ac.I, ac.J})
+	}
+	return dst
 }
 
 // TrainStats summarizes a training run.

@@ -234,33 +234,6 @@ func (d *Dataset) TopPoint(u []float64) int {
 	return bi
 }
 
-// scoreChunk is the number of points one pool task scores in Scores; large
-// enough that dispatch overhead is amortized, small enough that datasets of
-// a few thousand points still fan out.
-const scoreChunk = 512
-
-// Scores writes u·pᵢ for every point into dst (allocated when nil or
-// mis-sized) and returns it. Chunks of points are scored by the worker
-// pool; each task owns a disjoint index range, so the output is identical
-// for any worker count.
-func (d *Dataset) Scores(u []float64, dst []float64) []float64 {
-	n := len(d.Points)
-	if len(dst) != n {
-		dst = make([]float64, n)
-	}
-	chunks := (n + scoreChunk - 1) / scoreChunk
-	par.Do(chunks, func(c int) {
-		lo, hi := c*scoreChunk, (c+1)*scoreChunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			dst[i] = vec.Dot(u, d.Points[i])
-		}
-	})
-	return dst
-}
-
 // TopPoints is TopPoint for a batch of utility vectors, fanned out across
 // the worker pool with one task per vector; slot i of the result depends
 // only on us[i], so the output is deterministic under any parallelism.

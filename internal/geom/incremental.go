@@ -308,6 +308,7 @@ type Incremental struct {
 	base  *lp.Solver // feasibility/extrema program; nil until first use
 
 	interior []float64 // latest inner-ball center; see Interior
+	obj      []float64 // CutsBothSides objective, reused across probes
 
 	// noCut caches hyperplanes proven (by an Optimal LP) not to cut R:
 	// shrinking R preserves the verdict, so entries live until the polytope
@@ -320,7 +321,7 @@ type Incremental struct {
 
 // NewIncremental returns a handle over p with no state warmed yet.
 func NewIncremental(p *Polytope) *Incremental {
-	return &Incremental{P: p, noCut: make(map[uint64]bool), seenGen: p.gen, seenGrow: p.grow}
+	return &Incremental{P: p, obj: make([]float64, p.Dim), noCut: make(map[uint64]bool), seenGen: p.gen, seenGrow: p.grow}
 }
 
 // sync drops whatever an out-of-band polytope mutation invalidated. Mutations
@@ -471,7 +472,7 @@ func (g *Incremental) CutsBothSides(key uint64, h Halfspace, margin float64) boo
 	if g.base == nil {
 		g.base = lp.NewSolver(g.P.baseProblem(0))
 	}
-	obj := make([]float64, g.P.Dim)
+	obj := g.obj
 	copy(obj, h.Normal)
 	res := g.base.SolveWith(obj)
 	if res.Status != lp.Optimal {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"isrl/internal/fault"
@@ -49,6 +50,12 @@ type SampleOptions struct {
 // seeded run draws the exact same points whether the chains execute on one
 // goroutine or many.
 const defaultChains = 4
+
+// chainRNGs recycles SampleCtx's per-chain generators. Seed fully resets a
+// rand.Rand over a math/rand source, so a pooled, reseeded generator yields
+// exactly the stream rand.New(rand.NewSource(seed)) would, without
+// allocating a fresh ~5 KB source per chain per call.
+var chainRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // Sample draws n points approximately uniformly from R with hit-and-run,
 // walking inside the affine subspace Σu = 1. The work is split across
@@ -107,7 +114,16 @@ func (p *Polytope) SampleCtx(ctx context.Context, rng *rand.Rand, n int, opts Sa
 		return nil, nil
 	}
 	// Per-chain RNG streams, seeded in chain order from the caller's rng.
-	streams := par.SeedStreams(rng, chains)
+	streams := make([]*rand.Rand, chains)
+	for c := range streams {
+		streams[c] = chainRNGs.Get().(*rand.Rand)
+		streams[c].Seed(rng.Int63())
+	}
+	defer func() {
+		for _, r := range streams {
+			chainRNGs.Put(r)
+		}
+	}()
 	// One flat backing array instead of n row allocations; chains fill
 	// disjoint pre-cut rows, so sharing it is race-free.
 	out := make([][]float64, n)

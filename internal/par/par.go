@@ -5,10 +5,7 @@
 //
 //  1. Determinism. Do(n, fn) runs fn(0..n-1) exactly once each; callers
 //     write results into preallocated slots indexed by i, so merge order is
-//     fixed by construction and never depends on the worker count. Work
-//     that needs randomness takes per-task RNG streams from SeedStreams,
-//     whose seeds are drawn from the caller's rng in index order — a seeded
-//     run therefore produces identical output with 1 worker or many.
+//     fixed by construction and never depends on the worker count.
 //  2. Panic containment. A panic inside fn is captured, the remaining
 //     workers drain, and the first panic is re-raised in the calling
 //     goroutine wrapped in *TaskPanic. Callers running under core.Guard
@@ -21,7 +18,6 @@ package par
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -144,16 +140,4 @@ func DoCtx(ctx context.Context, n int, fn func(i int)) {
 	sp.SetInt("workers", int64(Workers()))
 	defer sp.End()
 	Do(n, fn)
-}
-
-// SeedStreams derives k independent RNG streams from rng, drawing the k
-// seeds in index order. Because the seeds depend only on rng's state and k
-// — never on the worker count — handing stream i to task i keeps seeded
-// runs reproducible under any parallelism.
-func SeedStreams(rng *rand.Rand, k int) []*rand.Rand {
-	out := make([]*rand.Rand, k)
-	for i := range out {
-		out[i] = rand.New(rand.NewSource(rng.Int63()))
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -70,20 +69,6 @@ func TestDoRepanicsInCaller(t *testing.T) {
 	}
 	if n := done.Load(); n != 31 {
 		t.Fatalf("only %d of 31 non-panicking tasks completed", n)
-	}
-}
-
-// Seed streams depend only on the parent rng and k, so per-task randomness
-// reproduces under any parallelism.
-func TestSeedStreamsDeterministic(t *testing.T) {
-	a := SeedStreams(rand.New(rand.NewSource(9)), 5)
-	b := SeedStreams(rand.New(rand.NewSource(9)), 5)
-	for i := range a {
-		for j := 0; j < 10; j++ {
-			if x, y := a[i].Float64(), b[i].Float64(); x != y {
-				t.Fatalf("stream %d draw %d: %v != %v", i, j, x, y)
-			}
-		}
 	}
 }
 

@@ -32,4 +32,11 @@ grep -q '"dqn_candidate_scoring"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"trace_disabled_span"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"round_geometry_incremental"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"rounds_per_sec"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"aa_select_actions_d4"' /tmp/isrl_hotpaths_smoke.json
 rm -f /tmp/isrl_hotpaths_smoke.json
+
+# The end-to-end benchmark is its own Go module, so the test run above does
+# not reach it. Its tests pin per-seed repeatability and the in-process
+# replay check, which catch a change in algorithm behaviour before a
+# benchmark run does.
+(cd perfbench && go vet . && go test .)
