@@ -19,7 +19,6 @@ import (
 	"isrl/internal/geom"
 	"isrl/internal/lp"
 	"isrl/internal/obs"
-	"isrl/internal/par"
 	"isrl/internal/rl"
 	"isrl/internal/trace"
 )
@@ -228,8 +227,8 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 		Quick:      quick,
 		Note: "Serial baselines replicate the pre-batching code paths. " +
 			"dqn/question scoring speedups are algorithmic (batched GEMM + shared state " +
-			"prefix) and hold at any core count; the sampling pair compares worker " +
-			"counts and only exceeds 1 when GOMAXPROCS > 1.",
+			"prefix) and hold at any core count. Sampling runs its chains serially, " +
+			"so sample_d4 is a plain timing row.",
 	}
 	add := func(rs ...benchRow) {
 		rep.Benchmarks = append(rep.Benchmarks, rs...)
@@ -253,27 +252,19 @@ func runHotpaths(quick bool, outPath, comparePath string) error {
 	add(s, b)
 	speed("question_scoring", s, b)
 
-	// Hit-and-run sampling at d=4: fixed chain decomposition executed by one
-	// worker vs all available workers.
+	// Hit-and-run sampling at d=4.
 	poly, err := hotPoly(4, 11)
 	if err != nil {
 		return err
 	}
-	benchSample := func(name string, workers int) benchRow {
-		return row(name, func(b *testing.B) {
-			defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := poly.Sample(rand.New(rand.NewSource(7)), samples, geom.SampleOptions{}); err != nil {
-					b.Fatal(err)
-				}
+	add(row("sample_d4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := poly.Sample(rand.New(rand.NewSource(7)), samples, geom.SampleOptions{}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	s = benchSample("sample_d4_workers1", 1)
-	b = benchSample("sample_d4_workersN", runtime.NumCPU())
-	add(s, b)
-	speed("sampling_d4", s, b)
+		}
+	}))
 
 	// LP solver (arena-pooled) and vertex enumeration timings.
 	for _, c := range []struct {

@@ -19,7 +19,6 @@ import (
 	"isrl/internal/core"
 	"isrl/internal/dataset"
 	"isrl/internal/geom"
-	"isrl/internal/par"
 	"isrl/internal/rl"
 	"isrl/internal/trace"
 	"isrl/internal/vec"
@@ -383,7 +382,7 @@ func (a *AA) selectActions(ctx context.Context, poly *geom.Polytope, geo *geom.I
 			}
 		}
 		checks++
-		if !a.probe(ctx, s, poly, geo, ci) {
+		if !a.probe(s, poly, geo, ci) {
 			return true
 		}
 		at := len(feats)
@@ -416,51 +415,31 @@ func (a *AA) selectActions(ctx context.Context, poly *geom.Polytope, geo *geom.I
 }
 
 // probe reports whether candidate ci's hyperplane cuts R on both sides,
-// memoized in s.cuts. LP feasibility probes dominate selection.
+// memoized in s.cuts so the second accept pass does not re-probe. LP
+// feasibility probes dominate selection.
 //
-// With the incremental engine the probes run serially through the warm
-// solver, whose cross-round negative cache (a no-cut verdict stays no-cut as
-// R shrinks) eliminates most of them outright; the pair's normal is built in
-// the scratch buffer, which CutsBothSides copies.
-//
-// On the scratch path CutsBothSides is a pure function of the
-// (fixed-for-this-round) polytope and the candidate pair, so results for a
-// speculative window of upcoming candidates are computed by the worker pool
-// and consumed by the serial accept loop — budget accounting, the diversity
-// filter, and accept order are untouched, so the selected actions are
-// identical for any worker count.
-func (a *AA) probe(ctx context.Context, s *selectScratch, poly *geom.Polytope, geo *geom.Incremental, ci int) bool {
+// With the incremental engine the probes run through the warm solver, whose
+// cross-round negative cache (a no-cut verdict stays no-cut as R shrinks)
+// eliminates most of them outright; the pair's normal is built in the
+// scratch buffer, which CutsBothSides copies. On the scratch path each
+// probe solves fresh LPs over poly.
+func (a *AA) probe(s *selectScratch, poly *geom.Polytope, geo *geom.Incremental, ci int) bool {
 	if s.cuts[ci] != 0 {
 		return s.cuts[ci] == 1
 	}
+	c := s.cands[ci]
+	var cuts bool
 	if geo != nil {
-		c := s.cands[ci]
 		h := geom.Halfspace{Normal: vec.Sub(s.normal, a.ds.Points[c.i], a.ds.Points[c.j])}
-		if geo.CutsBothSides(uint64(c.i)<<32|uint64(c.j), h, 1e-9) {
-			s.cuts[ci] = 1
-		} else {
-			s.cuts[ci] = 2
-		}
-		return s.cuts[ci] == 1
+		cuts = geo.CutsBothSides(uint64(c.i)<<32|uint64(c.j), h, 1e-9)
+	} else {
+		cuts = poly.CutsBothSides(geom.NewHalfspace(a.ds.Points[c.i], a.ds.Points[c.j]), 1e-9)
 	}
-	window := 1
-	if w := par.Workers(); w > 1 {
-		window = 2 * w
+	s.cuts[ci] = 2
+	if cuts {
+		s.cuts[ci] = 1
 	}
-	hi := min(ci+window, len(s.cands))
-	par.DoCtx(ctx, hi-ci, func(k int) {
-		if s.cuts[ci+k] != 0 {
-			return
-		}
-		c := s.cands[ci+k]
-		h := geom.NewHalfspace(a.ds.Points[c.i], a.ds.Points[c.j])
-		if poly.CutsBothSides(h, 1e-9) {
-			s.cuts[ci+k] = 1
-		} else {
-			s.cuts[ci+k] = 2
-		}
-	})
-	return s.cuts[ci] == 1
+	return cuts
 }
 
 // AppendQuestions runs one round of candidate selection against the utility

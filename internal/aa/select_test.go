@@ -11,7 +11,6 @@ import (
 
 	"isrl/internal/dataset"
 	"isrl/internal/geom"
-	"isrl/internal/par"
 	"isrl/internal/vec"
 )
 
@@ -292,26 +291,20 @@ func TestSelectActionsTieRule(t *testing.T) {
 	}
 }
 
-// The scratch-geometry path must match the reference too, for any worker
-// count of its speculative probe window.
+// The scratch-geometry path must match the reference too.
 func TestSelectActionsScratchPathMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	ds := testData(t, 400, 4, 61)
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
-			cfg := smallCfg()
-			cfg.ScratchGeometry = true
-			opt, ref := newSelStack(ds, cfg, 62), newSelStack(ds, cfg, 62)
-			ball, err := opt.poly.InnerBall()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := opt.a.selectActions(ctx, opt.poly, nil, ball.Center)
-			want := refSelectActions(ref.a, ctx, ref.poly, nil, ball.Center)
-			sameActions(t, "scratch path", got, want)
-		}()
+	cfg := smallCfg()
+	cfg.ScratchGeometry = true
+	opt, ref := newSelStack(ds, cfg, 62), newSelStack(ds, cfg, 62)
+	ball, err := opt.poly.InnerBall()
+	if err != nil {
+		t.Fatal(err)
 	}
+	got := opt.a.selectActions(ctx, opt.poly, nil, ball.Center)
+	want := refSelectActions(ref.a, ctx, ref.poly, nil, ball.Center)
+	sameActions(t, "scratch path", got, want)
 }
 
 // A warmed selection round allocates only the actions it returns (the

@@ -237,6 +237,8 @@ func (d *Dataset) TopPoint(u []float64) int {
 // TopPoints is TopPoint for a batch of utility vectors, fanned out across
 // the worker pool with one task per vector; slot i of the result depends
 // only on us[i], so the output is deterministic under any parallelism.
+// This scan over every point for every vector is the one per-session
+// fan-out: the only per-round work measured large enough to pay for it.
 func (d *Dataset) TopPoints(us [][]float64, dst []int) []int {
 	if len(dst) != len(us) {
 		dst = make([]int, len(us))

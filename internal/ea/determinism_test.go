@@ -10,8 +10,8 @@ import (
 
 // A seeded EA session must produce the identical Result — same point, same
 // rounds, same question trace — whether the pool runs 1 worker or many:
-// every parallel path (vertex enumeration, chained sampling, candidate
-// scoring) merges in a fixed order.
+// the top-point scan, EA's one fan-out, writes each vector's result to its
+// own slot.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) core.Result {
 		defer par.SetMaxWorkers(par.SetMaxWorkers(workers))

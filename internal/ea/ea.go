@@ -396,7 +396,7 @@ func (e *EA) Train(users [][]float64) (TrainStats, error) {
 	for ep, u := range users {
 		user := core.SimulatedUser{Utility: u}
 		epsilon = e.agent.Config().Epsilon.At(ep)
-		rounds, err := e.episode(user, epsilon, replay, nil)
+		rounds, err := e.episode(user, epsilon, replay)
 		if err != nil {
 			return stats, fmt.Errorf("ea: training episode %d: %w", ep, err)
 		}
@@ -421,10 +421,9 @@ func (e *EA) Train(users [][]float64) (TrainStats, error) {
 	return stats, nil
 }
 
-// episode runs one full interaction. With a non-nil replay it records
-// transitions (training); with epsilon 0 and nil replay it is pure greedy
-// inference. It returns the number of rounds and feeds obs if non-nil.
-func (e *EA) episode(user core.User, epsilon float64, replay *rl.Replay, obs core.Observer) (int, error) {
+// episode runs one ε-greedy training interaction, recording its
+// transitions in replay, and returns the number of rounds.
+func (e *EA) episode(user core.User, epsilon float64, replay *rl.Replay) (int, error) {
 	ctx := context.Background()
 	poly := geom.NewPolytope(e.ds.Dim())
 	geo := e.newGeo(poly)
@@ -437,13 +436,7 @@ func (e *EA) episode(user core.User, epsilon float64, replay *rl.Replay, obs cor
 		if len(cur.actions) == 0 {
 			break // defensive: nothing to ask
 		}
-		var ai int
-		if replay != nil {
-			ai = e.agent.SelectEpsGreedy(e.rng, cur.state, feats(cur.actions), epsilon)
-		} else {
-			ai = e.agent.Best(cur.state, feats(cur.actions))
-		}
-		act := cur.actions[ai]
+		act := cur.actions[e.agent.SelectEpsGreedy(e.rng, cur.state, feats(cur.actions), epsilon)]
 		pi, pj := e.ds.Points[act.I], e.ds.Points[act.J]
 		var h geom.Halfspace
 		if user.Prefer(pi, pj) {
@@ -453,27 +446,22 @@ func (e *EA) episode(user core.User, epsilon float64, replay *rl.Replay, obs cor
 		}
 		applyCut(ctx, poly, geo, h)
 		rounds++
-		if obs != nil {
-			obs.Round(rounds, poly.Halfspaces)
-		}
 		next, err := e.computeRound(ctx, poly, geo, e.eps)
 		if err != nil {
 			return rounds, err
 		}
-		if replay != nil {
-			tr := rl.Transition{
-				State:    cur.state,
-				Action:   act.Feat,
-				Next:     next.state,
-				Terminal: next.terminal,
-			}
-			if next.terminal {
-				tr.Reward = e.agent.Config().RewardC
-			} else {
-				tr.NextActions = feats(next.actions)
-			}
-			replay.Add(tr)
+		tr := rl.Transition{
+			State:    cur.state,
+			Action:   act.Feat,
+			Next:     next.state,
+			Terminal: next.terminal,
 		}
+		if next.terminal {
+			tr.Reward = e.agent.Config().RewardC
+		} else {
+			tr.NextActions = feats(next.actions)
+		}
+		replay.Add(tr)
 		cur = next
 	}
 	return rounds, nil

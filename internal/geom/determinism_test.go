@@ -1,10 +1,10 @@
 package geom
 
 import (
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
-
-	"isrl/internal/par"
 )
 
 // testPoly builds a d-dimensional utility range narrowed by a few random
@@ -33,57 +33,97 @@ func testPoly(t *testing.T, d int, seed int64) *Polytope {
 	return p
 }
 
-// Sample's chain decomposition is fixed by (seed, n, opts), so the drawn
-// points must be bit-identical whether the chains run on one worker or many.
-func TestSampleDeterministicAcrossWorkers(t *testing.T) {
-	for _, d := range []int{3, 5} {
-		draw := func(workers int) [][]float64 {
-			defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
-			pts, err := testPoly(t, d, 21).Sample(rand.New(rand.NewSource(22)), 40, SampleOptions{})
-			if err != nil {
-				t.Fatal(err)
+// floatsHash is FNV-1a over the IEEE-754 bits of every coordinate in row
+// order, so it tells apart −0 and +0 and any reordering of rows.
+func floatsHash(rows [][]float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, r := range rows {
+		for _, x := range r {
+			u := math.Float64bits(x)
+			for i := range b {
+				b[i] = byte(u >> (8 * i))
 			}
-			return pts
+			h.Write(b[:])
 		}
-		one := draw(1)
-		many := draw(8)
-		if len(one) != 40 || len(many) != 40 {
-			t.Fatalf("d=%d: got %d and %d points, want 40", d, len(one), len(many))
+	}
+	return h.Sum64()
+}
+
+// degeneratePoly cuts the d=3 simplex with three hyperplanes through one
+// point p0, each oriented to keep the centroid inside, so p0 is a vertex
+// that three constraint subsets solve to with different rounding.
+func degeneratePoly(t *testing.T) *Polytope {
+	t.Helper()
+	p0 := []float64{0.5, 0.3, 0.2}
+	q := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
+	rng := rand.New(rand.NewSource(41))
+	p := NewPolytope(3)
+	for k := 0; k < 3; k++ {
+		w := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		var wp, pp, wq float64
+		for i := range w {
+			wp += w[i] * p0[i]
+			pp += p0[i] * p0[i]
 		}
-		for i := range one {
-			for j := range one[i] {
-				if one[i][j] != many[i][j] {
-					t.Fatalf("d=%d: point %d dim %d: workers=1 %v, workers=8 %v",
-						d, i, j, one[i][j], many[i][j])
-				}
+		for i := range w {
+			w[i] -= wp / pp * p0[i]
+			wq += w[i] * q[i]
+		}
+		if wq < 0 {
+			for i := range w {
+				w[i] = -w[i]
 			}
+		}
+		p.Add(Halfspace{Normal: w})
+	}
+	return p
+}
+
+// A seeded Sample is pinned bit for bit: any change to how the chains are
+// seeded, split or walked changes the hash. n=41 does not divide into the
+// chains evenly, so it also pins which chains take the extra points.
+func TestSampleGolden(t *testing.T) {
+	for _, c := range []struct {
+		d, n int
+		hash uint64
+	}{{3, 40, 0xffada63c7222f547}, {5, 40, 0xf01e0e7f776bc260}, {3, 41, 0x82e373799cfd476}} {
+		pts, err := testPoly(t, c.d, 21).Sample(rand.New(rand.NewSource(22)), c.n, SampleOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != c.n {
+			t.Fatalf("d=%d: got %d points, want %d", c.d, len(pts), c.n)
+		}
+		if got := floatsHash(pts); got != c.hash {
+			t.Fatalf("d=%d n=%d: sample hash %#x, want %#x", c.d, c.n, got, c.hash)
 		}
 	}
 }
 
-// Vertex enumeration partitions by first constraint index with an ordered
-// merge, so the vertex list must be bit-identical for any worker count.
-func TestVerticesDeterministicAcrossWorkers(t *testing.T) {
-	for _, d := range []int{2, 3, 4} {
-		enum := func(workers int) [][]float64 {
-			defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
-			vs, err := testPoly(t, d, 31).Vertices()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return vs
+// The vertex lists are pinned bit for bit. Enumeration order decides which
+// of several near-equal solutions represents a vertex, so on the degenerate
+// polytope a change to that order shows up here.
+func TestVerticesGolden(t *testing.T) {
+	for _, c := range []struct {
+		d, n int
+		hash uint64
+		poly *Polytope
+	}{
+		{2, 2, 0x352b1ae6e4642ea, testPoly(t, 2, 31)},
+		{3, 5, 0x8ff4ba33837650f7, testPoly(t, 3, 31)},
+		{4, 6, 0xf79fb0c292f6b8fa, testPoly(t, 4, 31)},
+		{3, 4, 0x54832da27fa688ef, degeneratePoly(t)},
+	} {
+		vs, err := c.poly.Vertices()
+		if err != nil {
+			t.Fatal(err)
 		}
-		one := enum(1)
-		many := enum(8)
-		if len(one) == 0 || len(one) != len(many) {
-			t.Fatalf("d=%d: %d vs %d vertices", d, len(one), len(many))
+		if len(vs) != c.n {
+			t.Fatalf("d=%d: %d vertices, want %d", c.d, len(vs), c.n)
 		}
-		for i := range one {
-			for j := range one[i] {
-				if one[i][j] != many[i][j] {
-					t.Fatalf("d=%d: vertex %d dim %d differs across worker counts", d, i, j)
-				}
-			}
+		if got := floatsHash(vs); got != c.hash {
+			t.Fatalf("d=%d: vertex hash %#x, want %#x: %v", c.d, got, c.hash, vs)
 		}
 	}
 }

@@ -16,8 +16,9 @@ func freshStreamSample(t *testing.T, p *Polytope, rng *rand.Rand, n int) [][]flo
 		t.Fatal(err)
 	}
 	d := p.Dim
-	opts := SampleOptions{BurnIn: 5 * d, Thin: d, Chains: min(defaultChains, n)}
-	streams := make([]*rand.Rand, opts.Chains)
+	opts := SampleOptions{BurnIn: 5 * d, Thin: d}
+	chains := min(defaultChains, n)
+	streams := make([]*rand.Rand, chains)
 	for c := range streams {
 		streams[c] = rand.New(rand.NewSource(rng.Int63()))
 	}
@@ -27,8 +28,8 @@ func freshStreamSample(t *testing.T, p *Polytope, rng *rand.Rand, n int) [][]flo
 	}
 	lo := 0
 	for c, r := range streams {
-		q := n / opts.Chains
-		if c < n%opts.Chains {
+		q := n / chains
+		if c < n%chains {
 			q++
 		}
 		p.runChain(r, ib.Center, opts, out[lo:lo+q])

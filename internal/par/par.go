@@ -1,5 +1,7 @@
 // Package par provides the repository's bounded worker pool: a minimal
-// fan-out primitive for the candidate-scoring and geometry hot paths.
+// fan-out primitive. Its one per-session caller is the top-point scan
+// (dataset.TopPoints), the only per-round work measured large enough to
+// pay for goroutines; everything else a session does runs serially.
 //
 // Design rules, in order of importance:
 //
@@ -16,14 +18,11 @@
 package par
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"isrl/internal/trace"
 )
 
 // maxWorkers bounds the goroutines any single Do call may use. 0 means
@@ -122,22 +121,4 @@ func Do(n int, fn func(i int)) {
 	if first != nil {
 		panic(first)
 	}
-}
-
-// DoCtx is Do with a tracing span: when ctx carries an active trace the
-// whole fan-out — dispatch, queue wait behind busy workers, and the tasks
-// themselves — is timed as one "par.do" span annotated with the task and
-// worker counts. Task functions that want their own spans capture ctx
-// themselves; span appends are trace-mutex-protected, so worker goroutines
-// may record freely.
-func DoCtx(ctx context.Context, n int, fn func(i int)) {
-	sp := trace.StartLeaf(ctx, "par.do")
-	if sp == nil {
-		Do(n, fn)
-		return
-	}
-	sp.SetInt("tasks", int64(n))
-	sp.SetInt("workers", int64(Workers()))
-	defer sp.End()
-	Do(n, fn)
 }

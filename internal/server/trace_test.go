@@ -171,7 +171,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("no http.answer spans in %v", names)
 	}
 	hot := 0
-	for _, n := range []string{"lp.solve", "geom.vertices", "geom.sample", "geom.inner_ball", "geom.outer_rect", "par.do", "rl.best", "oracle.wait"} {
+	for _, n := range []string{"lp.solve", "geom.vertices", "geom.sample", "geom.inner_ball", "geom.outer_rect", "rl.best", "oracle.wait"} {
 		if names[n] > 0 {
 			hot++
 		}

@@ -33,6 +33,7 @@ grep -q '"trace_disabled_span"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"round_geometry_incremental"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"rounds_per_sec"' /tmp/isrl_hotpaths_smoke.json
 grep -q '"aa_select_actions_d4"' /tmp/isrl_hotpaths_smoke.json
+grep -q '"sample_d4"' /tmp/isrl_hotpaths_smoke.json
 rm -f /tmp/isrl_hotpaths_smoke.json
 
 # The end-to-end benchmark is its own Go module, so the test run above does
